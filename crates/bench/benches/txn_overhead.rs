@@ -15,6 +15,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use pivot_undo::engine::Strategy;
 use pivot_undo::Journal;
+use pivot_workload::tempdir::TempDir;
 use pivot_workload::{prepare, WorkloadCfg};
 
 fn setup(frags: usize) -> (WorkloadCfg, u64) {
@@ -70,8 +71,8 @@ fn bench_txn(c: &mut Criterion) {
 
     // The same undo with a write-ahead journal attached (begin + commit,
     // each flushed and synced).
-    let path = std::env::temp_dir().join("pivot_bench_txn.journal");
-    let _ = std::fs::remove_file(&path);
+    let dir = TempDir::new("bench_txn").expect("scratch dir");
+    let path = dir.join("undo.journal");
     g.bench_function("undo_journal", |b| {
         b.iter_batched(
             || {
@@ -90,7 +91,6 @@ fn bench_txn(c: &mut Criterion) {
             BatchSize::PerIteration,
         )
     });
-    let _ = std::fs::remove_file(&path);
     g.finish();
 }
 

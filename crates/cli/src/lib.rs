@@ -781,6 +781,7 @@ pub fn run_script(session: &mut Session, script: &str, out: &mut String) -> Resu
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pivot_workload::tempdir::TempDir;
 
     fn session(src: &str) -> Session {
         Session::from_source(src).unwrap()
@@ -863,8 +864,8 @@ mod tests {
 
     #[test]
     fn cli_file_commands() {
-        let dir = std::env::temp_dir().join("pivot_cli_test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let tmp = TempDir::new("cli_test").unwrap();
+        let dir = tmp.path();
         let f = dir.join("prog.pv");
         std::fs::write(&f, "read x\nwrite x + 2 * 3\n").unwrap();
         let fs = f.to_string_lossy().to_string();
@@ -914,8 +915,8 @@ mod tests {
 
     #[test]
     fn cli_ring_profile_and_serve_metrics() {
-        let dir = std::env::temp_dir().join("pivot_cli_obs_test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let tmp = TempDir::new("cli_obs_test").unwrap();
+        let dir = tmp.path();
         let f = dir.join("prog.pv");
         std::fs::write(&f, "d = e + f\nr = e + f\nwrite r\nwrite d\n").unwrap();
         let fs = f.to_string_lossy().to_string();
@@ -976,8 +977,8 @@ mod tests {
 
     #[test]
     fn cli_audit() {
-        let dir = std::env::temp_dir().join("pivot_cli_audit_test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let tmp = TempDir::new("cli_audit_test").unwrap();
+        let dir = tmp.path();
         let f = dir.join("prog.pv");
         std::fs::write(&f, "d = e + f\nr = e + f\nwrite r\nwrite d\n").unwrap();
         let fs = f.to_string_lossy().to_string();
@@ -1020,15 +1021,14 @@ mod tests {
 
     #[test]
     fn cli_journal_and_recover() {
-        let dir = std::env::temp_dir().join("pivot_cli_journal_test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let tmp = TempDir::new("cli_journal_test").unwrap();
+        let dir = tmp.path();
         let f = dir.join("prog.pv");
         std::fs::write(&f, "d = e + f\nr = e + f\nwrite r\nwrite d\n").unwrap();
         let fs = f.to_string_lossy().to_string();
         let sf = dir.join("script.txt");
         std::fs::write(&sf, "apply CSE\nundo 1\nshow\n").unwrap();
         let jf = dir.join("session.journal");
-        let _ = std::fs::remove_file(&jf);
         let out = run_cli(&[
             "script".into(),
             fs.clone(),
@@ -1052,13 +1052,12 @@ mod tests {
 
     #[test]
     fn cli_recover_reports_checkpoint_anchored_recovery() {
-        let dir = std::env::temp_dir().join("pivot_cli_ckpt_test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let tmp = TempDir::new("cli_ckpt_test").unwrap();
+        let dir = tmp.path();
         let src = "d = e + f\nr = e + f\nwrite r\nwrite d\nx = 3 * 4\nwrite x\n";
         let f = dir.join("prog.pv");
         std::fs::write(&f, src).unwrap();
         let jf = dir.join("compacted.journal");
-        let _ = std::fs::remove_file(&jf);
         let mut s = Session::from_source(src).unwrap();
         s.set_journal(pivot_undo::Journal::open(&jf).unwrap());
         s.apply_kind(XformKind::Cse).unwrap();

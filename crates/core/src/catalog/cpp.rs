@@ -2,17 +2,28 @@
 //!
 //! A use of `x` at `S_j` is replaced by `y` when `S_i : x = y` is the sole
 //! reaching definition of the use **and** `y` is not redefined on any path
-//! from `S_i` to `S_j` (checked with [`super::value_intact`]).
+//! from `S_i` to `S_j` (the [`super::value_intact`] condition, answered for
+//! every copy at once by one [`IntactSolve`]).
 
-use super::{value_intact, var_use_exprs, Applied, Opportunity};
+use super::{var_use_exprs, Applied, IntactSolve, Opportunity};
 use crate::actions::{ActionError, ActionLog};
 use crate::pattern::{Pattern, XformParams};
 use pivot_ir::Rep;
-use pivot_lang::{ExprKind, Program, StmtKind};
+use pivot_lang::{ExprKind, Program, StmtId, StmtKind, Sym};
 
-/// Detect copy propagation opportunities.
+/// Detect copy propagation opportunities: per copy in pre-order, then per
+/// use in def-use chain order.
 pub fn find(prog: &Program, rep: &Rep) -> Vec<Opportunity> {
-    let mut out = Vec::new();
+    let sole_uses = |def: StmtId, x: Sym| {
+        rep.chains
+            .uses_of(def, x)
+            .iter()
+            .copied()
+            .filter(move |&u| rep.chains.sole_def(u, x) == Some(def))
+    };
+    // Copies `x = y` that are the sole reaching definition of some use;
+    // both x and y must be undisturbed between S_i and S_j.
+    let mut copies: Vec<(StmtId, [Sym; 2])> = Vec::new();
     for def in prog.attached_stmts() {
         let StmtKind::Assign { target, value } = &prog.stmt(def).kind else {
             continue;
@@ -24,19 +35,23 @@ pub fn find(prog: &Program, rep: &Rep) -> Vec<Opportunity> {
             continue;
         };
         let x = target.var;
-        if x == y {
-            continue;
+        if x != y && sole_uses(def, x).next().is_some() {
+            copies.push((def, [x, y]));
         }
-        for &use_stmt in rep.chains.uses_of(def, x) {
-            if rep.chains.sole_def(use_stmt, x) != Some(def) {
+    }
+    if copies.is_empty() {
+        return Vec::new();
+    }
+
+    let solve = IntactSolve::new(prog, rep, copies.iter().map(|(d, w)| (*d, &w[..])));
+    let mut out = Vec::new();
+    for (k, &(def, [x, y])) in copies.iter().enumerate() {
+        for use_stmt in sole_uses(def, x) {
+            if !solve.intact(rep, k, use_stmt) {
                 continue;
             }
-            // Both x and y must be undisturbed between S_i and S_j.
-            if !value_intact(prog, rep, def, use_stmt, &[x, y]) {
-                continue;
-            }
+            let reaching_at_use = super::reaching_snapshot(prog, rep, use_stmt, &[x, y]);
             for e in var_use_exprs(prog, use_stmt, x) {
-                let reaching_at_use = super::reaching_snapshot(prog, rep, use_stmt, &[x, y]);
                 out.push(Opportunity {
                     params: XformParams::Cpp {
                         def_stmt: def,
@@ -44,7 +59,7 @@ pub fn find(prog: &Program, rep: &Rep) -> Vec<Opportunity> {
                         expr: e,
                         from: x,
                         to: y,
-                        reaching_at_use,
+                        reaching_at_use: reaching_at_use.clone(),
                     },
                     description: format!(
                         "CPP: replace {} by {} at line {}",

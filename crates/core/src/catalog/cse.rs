@@ -9,80 +9,157 @@
 //! the value relationship `A == B op C` intact on every intervening path
 //! (no redefinition of `A`, `B` or `C`).
 
-use super::{value_intact, Applied, Opportunity};
+use super::{Applied, IntactSolve, Opportunity};
 use crate::actions::{ActionError, ActionLog};
 use crate::pattern::{Pattern, XformParams};
 use pivot_ir::{access, Rep};
 use pivot_lang::equiv::exprs_equal_in;
-use pivot_lang::{ExprKind, Program, StmtKind, Sym};
+use pivot_lang::{ExprId, ExprKind, Program, StmtId, StmtKind, Sym};
+
+/// One binary node: its value-number key, statement and node.
+type Occ = (u64, StmtId, ExprId);
+
+/// Append an [`Occ`] for every binary node of the tree at `e` (statement
+/// `s`), in pre-order as `stmt_exprs` lists them, and return `e`'s
+/// structural value-number key: operator and operand keys, symbols by id,
+/// constants by value. Structurally equal expressions have equal keys, so
+/// an occurrence can only match a definition's RHS inside the RHS's
+/// bucket; distinct expressions may share a key, so each match is
+/// confirmed with `exprs_equal_in`.
+fn push_keys(prog: &Program, s: StmtId, e: ExprId, occs: &mut Vec<Occ>) -> u64 {
+    // FxHash's step: one rotate, xor and multiply per word.
+    fn mix(h: u64, x: u64) -> u64 {
+        (h.rotate_left(5) ^ x).wrapping_mul(0x517c_c1b7_2722_0a95)
+    }
+    match &prog.expr(e).kind {
+        ExprKind::Const(c) => mix(1, *c as u64),
+        ExprKind::Var(v) => mix(2, v.index() as u64),
+        ExprKind::Index(a, subs) => subs.iter().fold(mix(3, a.index() as u64), |h, &x| {
+            mix(h, push_keys(prog, s, x, occs))
+        }),
+        ExprKind::Unary(op, a) => mix(mix(4, *op as u64), push_keys(prog, s, *a, occs)),
+        ExprKind::Binary(op, a, b) => {
+            let at = occs.len();
+            occs.push((0, s, e));
+            let ka = push_keys(prog, s, *a, occs);
+            let key = mix(mix(mix(5, *op as u64), ka), push_keys(prog, s, *b, occs));
+            occs[at].0 = key;
+            key
+        }
+    }
+}
+
+/// A definition `A = B op C` that may offer its value to later occurrences.
+struct Def {
+    stmt: StmtId,
+    rhs: ExprId,
+    result: Sym,
+    /// Symbols whose redefinition breaks `A == B op C`.
+    watched: Vec<Sym>,
+    /// Its RHS's key, then its bucket in the sorted occurrence list.
+    key: u64,
+    bucket: std::ops::Range<usize>,
+}
+
+/// `def` as a CSE definition, if its shape qualifies: a scalar target and
+/// a non-faulting arithmetic RHS that does not read the target.
+fn definition(prog: &Program, def: StmtId) -> Option<Def> {
+    let StmtKind::Assign { target, value } = &prog.stmt(def).kind else {
+        return None;
+    };
+    let rhs = *value;
+    let ExprKind::Binary(op, ..) = prog.expr(rhs).kind else {
+        return None;
+    };
+    if !target.is_scalar() || !op.is_arithmetic() || access::expr_can_fault(prog, rhs) {
+        return None;
+    }
+    let a = target.var;
+    // Symbols whose redefinition breaks A == B op C. Array reads in the
+    // expression make it ineligible unless the arrays are watched too.
+    let mut watched: Vec<Sym> = vec![a];
+    prog.expr_uses(rhs, &mut watched);
+    // A defining statement like A = A + 1 can never offer its RHS value
+    // through A afterwards.
+    if watched[1..].contains(&a) {
+        return None;
+    }
+    watched.sort_unstable();
+    watched.dedup();
+    Some(Def {
+        stmt: def,
+        rhs,
+        result: a,
+        watched,
+        key: 0,
+        bucket: 0..0,
+    })
+}
 
 /// Detect global CSE opportunities.
+///
+/// Every binary occurrence is bucketed by [`push_keys`]'s key; a
+/// definition is compared only with the occurrences in its RHS's bucket,
+/// and one [`IntactSolve`] answers "is `A == B op C` intact at the use"
+/// for every definition at once. Opportunities come out per definition in
+/// pre-order, then per use statement in pre-order, then per node in
+/// `stmt_exprs` order, before the stable [`super::sort_opps`].
 pub fn find(prog: &Program, rep: &Rep) -> Vec<Opportunity> {
+    let mut occs: Vec<Occ> = Vec::new();
+    let mut defs = Vec::new();
+    for s in prog.attached_stmts() {
+        let at = occs.len();
+        for root in prog.stmt_expr_roots(s) {
+            push_keys(prog, s, root, &mut occs);
+        }
+        if let Some(mut d) = definition(prog, s) {
+            if let Some(o) = occs[at..].iter().find(|o| o.2 == d.rhs) {
+                d.key = o.0;
+                defs.push(d);
+            }
+        }
+    }
+    // The stable sort keeps each bucket in pre-order.
+    occs.sort_by_key(|o| o.0);
+    defs.retain_mut(|d| {
+        d.bucket = occs.partition_point(|o| o.0 < d.key)..occs.partition_point(|o| o.0 <= d.key);
+        occs[d.bucket.clone()].iter().any(|o| o.1 != d.stmt)
+    });
+    if defs.is_empty() {
+        return Vec::new();
+    }
+
+    let solve = IntactSolve::new(prog, rep, defs.iter().map(|d| (d.stmt, &d.watched[..])));
     let mut out = Vec::new();
-    let stmts = prog.attached_stmts();
-    for &def in &stmts {
-        let StmtKind::Assign { target, value } = &prog.stmt(def).kind else {
-            continue;
-        };
-        if !target.is_scalar() {
-            continue;
-        }
-        let rhs = *value;
-        // The defining RHS must be a non-faulting arithmetic operation.
-        let ExprKind::Binary(op, ..) = prog.expr(rhs).kind else {
-            continue;
-        };
-        if !op.is_arithmetic() || access::expr_can_fault(prog, rhs) {
-            continue;
-        }
-        let a = target.var;
-        // Symbols whose redefinition breaks A == B op C. Array reads in the
-        // expression make it ineligible unless the arrays are watched too.
-        let mut watched: Vec<Sym> = vec![a];
-        prog.expr_uses(rhs, &mut watched);
-        watched.sort_unstable();
-        watched.dedup();
-        // A defining statement like A = A + 1 can never offer its RHS value
-        // through A afterwards.
-        let mut rhs_syms = Vec::new();
-        prog.expr_uses(rhs, &mut rhs_syms);
-        if rhs_syms.contains(&a) {
-            continue;
-        }
-        for &use_stmt in &stmts {
-            if use_stmt == def {
+    for (k, d) in defs.iter().enumerate() {
+        let mut rhs_text = None;
+        for &(_, use_stmt, e) in &occs[d.bucket.clone()] {
+            if use_stmt == d.stmt
+                || !exprs_equal_in(prog, d.rhs, e)
+                || !solve.intact(rep, k, use_stmt)
+            {
                 continue;
             }
-            for e in prog.stmt_exprs(use_stmt) {
-                if !matches!(prog.expr(e).kind, ExprKind::Binary(..)) {
-                    continue;
-                }
-                if !exprs_equal_in(prog, rhs, e) {
-                    continue;
-                }
-                if !value_intact(prog, rep, def, use_stmt, &watched) {
-                    continue;
-                }
-                let reaching_at_use = super::reaching_snapshot(prog, rep, use_stmt, &watched);
-                out.push(Opportunity {
-                    params: XformParams::Cse {
-                        def_stmt: def,
-                        use_stmt,
-                        expr: e,
-                        result_var: a,
-                        operand_syms: watched.clone(),
-                        old_kind: prog.expr(e).kind.clone(),
-                        reaching_at_use,
-                    },
-                    description: format!(
-                        "CSE: reuse `{} = {}` (line {}) at line {}",
-                        prog.symbols.name(a),
-                        pivot_lang::printer::expr_to_string(prog, rhs),
-                        prog.stmt(def).label,
-                        prog.stmt(use_stmt).label
-                    ),
-                });
-            }
+            let rhs_text =
+                rhs_text.get_or_insert_with(|| pivot_lang::printer::expr_to_string(prog, d.rhs));
+            out.push(Opportunity {
+                params: XformParams::Cse {
+                    def_stmt: d.stmt,
+                    use_stmt,
+                    expr: e,
+                    result_var: d.result,
+                    operand_syms: d.watched.clone(),
+                    old_kind: prog.expr(e).kind.clone(),
+                    reaching_at_use: super::reaching_snapshot(prog, rep, use_stmt, &d.watched),
+                },
+                description: format!(
+                    "CSE: reuse `{} = {}` (line {}) at line {}",
+                    prog.symbols.name(d.result),
+                    rhs_text,
+                    prog.stmt(d.stmt).label,
+                    prog.stmt(use_stmt).label
+                ),
+            });
         }
     }
     super::sort_opps(rep, &mut out);

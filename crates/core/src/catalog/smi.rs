@@ -15,11 +15,11 @@
 //! outer loop), `Move` (the original loop into it), header `Modify` (the
 //! inner bounds).
 
-use super::{Applied, Opportunity};
-use crate::actions::{read_header, ActionError, ActionLog, LoopHeader};
+use super::{stmt_def, Applied, Opportunity};
+use crate::actions::{read_header, ActionError, ActionKind, ActionLog, LoopHeader};
 use crate::pattern::{Pattern, XformParams};
 use pivot_ir::{access, loops, Rep};
-use pivot_lang::{BinOp, BlockRole, ExprKind, Loc, Parent, Program, StmtKind};
+use pivot_lang::{BinOp, BlockRole, ExprId, ExprKind, Loc, Parent, Program, StmtKind, Sym};
 
 /// Default strip length.
 pub const STRIP: i64 = 4;
@@ -84,7 +84,10 @@ pub fn apply(
     let old = read_header(prog, inner).ok_or(ActionError::HeaderMismatch(inner))?;
     // Fresh strip variable named after the original (`i` → `i_s`).
     let base = format!("{}_s", prog.symbols.name(old.var));
-    let strip_var = prog.symbols.fresh(&base);
+    let in_use = reachable_syms(prog, log);
+    let strip_var = prog
+        .symbols
+        .fresh(&base, |y| in_use.get(y.index()).copied().unwrap_or(true));
     // Build the outer loop: do is = lo', hi', strip  (bounds cloned so the
     // inner keeps its own expression nodes).
     let outer = prog.alloc_stmt(StmtKind::Write {
@@ -135,6 +138,58 @@ pub fn apply(
         post,
         stamps,
     })
+}
+
+/// Symbols, by index, that something the session can still reach refers
+/// to: an attached statement, or a node that the inverse of an action in
+/// the active log re-attaches (a deleted statement's subtree, the payload
+/// a `Modify` restores, a replaced loop header). A strip variable interned
+/// by an undone strip-mine is referred to only by detached nodes that no
+/// active action can bring back, so the next strip-mine of that loop gets
+/// the same name as a session that never applied the undone one.
+fn reachable_syms(prog: &Program, log: &ActionLog) -> Vec<bool> {
+    let mut seen = vec![false; prog.symbols.len()];
+    let mut mark = |y: Sym| {
+        if let Some(v) = seen.get_mut(y.index()) {
+            *v = true;
+        }
+    };
+    let mut exprs: Vec<ExprId> = Vec::new();
+    let mut stmts = prog.attached_stmts();
+    for a in log.actions.iter() {
+        match &a.kind {
+            ActionKind::Delete { stmt, .. } => stmts.extend(prog.subtree(*stmt)),
+            ActionKind::ModifyExpr { old, .. } => {
+                mark_payload(old, &mut mark);
+                pivot_lang::program::collect_children(old, &mut exprs);
+            }
+            ActionKind::ModifyHeader { old, .. } => {
+                mark(old.var);
+                exprs.extend([old.lo, old.hi]);
+                exprs.extend(old.step);
+            }
+            ActionKind::Add { .. } | ActionKind::Move { .. } | ActionKind::Copy { .. } => {}
+        }
+    }
+    for s in stmts {
+        if let Some(y) = stmt_def(prog, s) {
+            mark(y);
+        }
+        exprs.extend(prog.stmt_expr_roots(s));
+    }
+    while let Some(e) = exprs.pop() {
+        let kind = &prog.expr(e).kind;
+        mark_payload(kind, &mut mark);
+        pivot_lang::program::collect_children(kind, &mut exprs);
+    }
+    seen
+}
+
+/// Mark the symbol an expression payload names directly.
+fn mark_payload(kind: &ExprKind, mark: &mut impl FnMut(Sym)) {
+    if let ExprKind::Var(y) | ExprKind::Index(y, _) = kind {
+        mark(*y);
+    }
 }
 
 #[cfg(test)]
@@ -209,6 +264,38 @@ mod tests {
         assert_eq!(p.symbols.name(strip_var), "i_s_1");
         let after = pivot_lang::interp::run_default(&p, &[]).unwrap();
         assert_eq!(before, after);
+    }
+
+    #[test]
+    fn undone_strip_mine_frees_its_name() {
+        use crate::engine::{Session, Strategy};
+        let src = "do i = 1, 8\n  A(i) = i\nenddo\nwrite A(1)\n";
+        let mut s = Session::from_source(src).unwrap();
+        let first = s.apply_kind(crate::XformKind::Smi).unwrap();
+        s.undo(first, Strategy::Regional).unwrap();
+        s.apply_kind(crate::XformKind::Smi).unwrap();
+        // The same name a session that never applied the first one picks.
+        let mut fresh = Session::from_source(src).unwrap();
+        fresh.apply_kind(crate::XformKind::Smi).unwrap();
+        assert_eq!(s.source(), fresh.source());
+        assert!(s.source().starts_with("do i_s = 1, 8, 4\n"));
+    }
+
+    #[test]
+    fn deleted_use_an_active_record_can_restore_blocks_reuse() {
+        use crate::engine::Session;
+        // `i_s = 5` is dead. Once DCE deletes it, no attached statement
+        // names `i_s`, but undoing the DCE would re-attach it.
+        let src = "i_s = 5\ndo i = 1, 8\n  A(i) = i\nenddo\nwrite A(1)\n";
+        let mut s = Session::from_source(src).unwrap();
+        s.apply_kind(crate::XformKind::Dce).unwrap();
+        assert!(!s.source().contains("i_s = 5"));
+        s.apply_kind(crate::XformKind::Smi).unwrap();
+        assert!(
+            s.source().starts_with("do i_s_1 = 1, 8, 4\n"),
+            "{}",
+            s.source()
+        );
     }
 
     #[test]

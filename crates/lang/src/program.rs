@@ -850,7 +850,7 @@ impl Program {
 }
 
 /// Push the direct child expression IDs of `kind` onto `out`.
-pub(crate) fn collect_children(kind: &ExprKind, out: &mut Vec<ExprId>) {
+pub fn collect_children(kind: &ExprKind, out: &mut Vec<ExprId>) {
     match kind {
         ExprKind::Const(_) | ExprKind::Var(_) => {}
         ExprKind::Index(_, subs) => out.extend(subs.iter().copied()),

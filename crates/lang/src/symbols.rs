@@ -59,19 +59,24 @@ impl SymbolTable {
         self.inner.names.is_empty()
     }
 
-    /// Generate a fresh symbol not colliding with any interned name, using
-    /// `base` as a prefix (e.g. temporaries introduced by strip mining).
-    pub fn fresh(&mut self, base: &str) -> Sym {
-        if self.get(base).is_none() {
-            return self.intern(base);
-        }
-        let mut i = 1usize;
+    /// A symbol for a temporary named after `base` (e.g. the strip
+    /// variable of strip mining): the first of `base`, `base_1`, … that is
+    /// either not interned yet or interned with `taken` false. A name that
+    /// nothing refers to any more is handed out again instead of minting a
+    /// new suffix; `|_| true` never reuses an interned name.
+    pub fn fresh(&mut self, base: &str, taken: impl Fn(Sym) -> bool) -> Sym {
+        let mut i = 0usize;
         loop {
-            let cand = format!("{base}_{i}");
-            if self.get(&cand).is_none() {
-                return self.intern(&cand);
+            let cand = if i == 0 {
+                base.to_owned()
+            } else {
+                format!("{base}_{i}")
+            };
+            match self.get(&cand) {
+                None => return self.intern(&cand),
+                Some(s) if !taken(s) => return s,
+                Some(_) => i += 1,
             }
-            i += 1;
         }
     }
 
@@ -122,10 +127,20 @@ mod tests {
         let mut t = SymbolTable::new();
         t.intern("t");
         t.intern("t_1");
-        let f = t.fresh("t");
+        let f = t.fresh("t", |_| true);
         assert_eq!(t.name(f), "t_2");
-        let g = t.fresh("u");
+        let g = t.fresh("u", |_| true);
         assert_eq!(t.name(g), "u");
+    }
+
+    #[test]
+    fn fresh_reuses_untaken_interned_names() {
+        let mut t = SymbolTable::new();
+        let s = t.intern("i_s");
+        let s1 = t.intern("i_s_1");
+        assert_eq!(t.fresh("i_s", |_| false), s);
+        assert_eq!(t.fresh("i_s", |y| y == s), s1);
+        assert_eq!(t.len(), 2);
     }
 
     #[test]

@@ -17,6 +17,7 @@ pub mod parcheck;
 pub mod search;
 pub mod searchcheck;
 pub mod servecheck;
+pub mod tempdir;
 pub mod witnesses;
 
 use pivot_lang::builder::ProgramBuilder;

@@ -9,12 +9,16 @@
 # daemon is held to the same bar: a multi-tenant server that panics on one
 # bad request takes down every other tenant's session with it. So is the
 # stochastic search loop: a 100k-move walk that panics on one unlucky
-# candidate loses the whole run.
+# candidate loses the whole run. So are the shared detection helpers and
+# the CSE and CPP detectors, which the daemon runs on every apply.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
 FILES=(
+  crates/core/src/catalog/mod.rs
+  crates/core/src/catalog/cse.rs
+  crates/core/src/catalog/cpp.rs
   crates/core/src/engine.rs
   crates/core/src/revers.rs
   crates/core/src/parcheck.rs

@@ -12,11 +12,11 @@
 use pivot_undo::engine::Session;
 use pivot_undo::snapshot::{fingerprint, restore_json, snapshot_json};
 use pivot_undo::{Journal, Strategy, UndoError, UndoReport};
+use pivot_workload::tempdir::TempDir;
 use pivot_workload::{gen_edit, prepare, WorkloadCfg};
 use proptest::prelude::*;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use std::path::PathBuf;
 
 fn cfg() -> WorkloadCfg {
     WorkloadCfg {
@@ -25,12 +25,6 @@ fn cfg() -> WorkloadCfg {
         figure1_chains: 1,
         ..Default::default()
     }
-}
-
-fn tmp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("pivot_cow_differential");
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(format!("{name}.{}.journal", std::process::id()))
 }
 
 /// Deep-copy a session through the snapshot round-trip: the result shares
@@ -59,10 +53,9 @@ fn report_line(id: pivot_undo::XformId, r: &Result<UndoReport, UndoError>) -> St
 
 /// Run the canonical script through both engines, comparing at every step.
 fn run_differential(seed: u64, shuffle: u64) {
-    let shared_path = tmp(&format!("shared_{seed}_{shuffle}"));
-    let oracle_path = tmp(&format!("oracle_{seed}_{shuffle}"));
-    let _ = std::fs::remove_file(&shared_path);
-    let _ = std::fs::remove_file(&oracle_path);
+    let dir = TempDir::new("cow_differential").unwrap();
+    let shared_path = dir.join("shared.journal");
+    let oracle_path = dir.join("oracle.journal");
 
     let mut shared = prepare(seed, &cfg(), 8);
     let mut oracle = prepare(seed, &cfg(), 8).session;
@@ -175,9 +168,6 @@ fn run_differential(seed: u64, shuffle: u64) {
     );
     shared.session.assert_consistent();
     oracle.assert_consistent();
-
-    let _ = std::fs::remove_file(&shared_path);
-    let _ = std::fs::remove_file(&oracle_path);
 }
 
 proptest! {

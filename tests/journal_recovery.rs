@@ -10,21 +10,15 @@
 use pivot_lang::parser::parse;
 use pivot_undo::engine::{Session, Strategy};
 use pivot_undo::{FaultPlan, Journal, UndoError, XformKind};
-use std::path::PathBuf;
+use pivot_workload::tempdir::TempDir;
 
 const SRC: &str = "d = e + f\nr = e + f\nwrite r\nwrite d\nx = 3 * 4\nwrite x\n";
-
-fn tmp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("pivot_journal_recovery");
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(name)
-}
 
 /// Run the scripted session; returns the journal bytes and the source
 /// snapshot after each committed transaction (snapshots[0] = original).
 fn scripted_session() -> (Vec<u8>, Vec<String>) {
-    let path = tmp("session.journal");
-    let _ = std::fs::remove_file(&path);
+    let dir = TempDir::new("journal_recovery").unwrap();
+    let path = dir.join("session.journal");
     let mut s = Session::from_source(SRC).unwrap();
     s.set_journal(Journal::open(&path).unwrap());
     let mut snapshots = vec![s.source()];
@@ -75,7 +69,8 @@ fn recovery_is_exact_at_every_truncation_boundary() {
     let (bytes, snapshots) = scripted_session();
     assert!(!bytes.is_empty(), "journal must not be empty");
     assert_eq!(snapshots.len(), 4, "three committed transactions");
-    let path = tmp("truncated.journal");
+    let dir = TempDir::new("journal_recovery").unwrap();
+    let path = dir.join("truncated.journal");
     for len in 0..=bytes.len() {
         std::fs::write(&path, &bytes[..len]).unwrap();
         let prog = parse(SRC).unwrap();
@@ -101,7 +96,8 @@ fn recovery_is_exact_at_every_truncation_boundary() {
 #[test]
 fn full_journal_recovers_final_state_and_skips_the_abort() {
     let (bytes, snapshots) = scripted_session();
-    let path = tmp("full.journal");
+    let dir = TempDir::new("journal_recovery").unwrap();
+    let path = dir.join("full.journal");
     std::fs::write(&path, &bytes).unwrap();
     let recovery = Session::recover(parse(SRC).unwrap(), &path).unwrap();
     assert_eq!(recovery.committed, 3);
@@ -118,8 +114,8 @@ fn full_journal_recovers_final_state_and_skips_the_abort() {
 /// source snapshots after each post-checkpoint committed transaction
 /// (snapshots[0] = the checkpointed state).
 fn compacted_session() -> (Vec<u8>, usize, Vec<String>) {
-    let path = tmp("compacted.journal");
-    let _ = std::fs::remove_file(&path);
+    let dir = TempDir::new("journal_recovery").unwrap();
+    let path = dir.join("compacted.journal");
     let mut s = Session::from_source(SRC).unwrap();
     s.set_journal(Journal::open(&path).unwrap());
     let cse = s.apply_kind(XformKind::Cse).expect("e + f recurs");
@@ -144,7 +140,8 @@ fn compacted_session() -> (Vec<u8>, usize, Vec<String>) {
 #[test]
 fn compacted_journal_recovers_at_every_truncation_boundary() {
     let (bytes, ckpt_end, snapshots) = compacted_session();
-    let path = tmp("compacted_truncated.journal");
+    let dir = TempDir::new("journal_recovery").unwrap();
+    let path = dir.join("compacted_truncated.journal");
     for len in 0..=bytes.len() {
         std::fs::write(&path, &bytes[..len]).unwrap();
         let prog = parse(SRC).unwrap();
@@ -205,7 +202,8 @@ fn compacted_journal_recovers_at_every_truncation_boundary() {
 #[test]
 fn compacted_recovery_preserves_undoability_of_checkpointed_history() {
     let (bytes, _, _) = compacted_session();
-    let path = tmp("compacted_resume.journal");
+    let dir = TempDir::new("journal_recovery").unwrap();
+    let path = dir.join("compacted_resume.journal");
     std::fs::write(&path, &bytes).unwrap();
     let recovery = Session::recover(parse(SRC).unwrap(), &path).unwrap();
     assert!(recovery.from_checkpoint);
@@ -232,8 +230,8 @@ fn compacted_recovery_preserves_undoability_of_checkpointed_history() {
 /// shared writer produces must be byte-identical to the unshared writer's
 /// — and therefore recover identically at every truncation boundary.
 fn shared_compacted_session() -> (Vec<u8>, usize, Vec<String>) {
-    let path = tmp("shared_compacted.journal");
-    let _ = std::fs::remove_file(&path);
+    let dir = TempDir::new("journal_recovery").unwrap();
+    let path = dir.join("shared_compacted.journal");
     let mut s = Session::from_source(SRC).unwrap();
     s.set_journal(Journal::open(&path).unwrap());
     let cse = s.apply_kind(XformKind::Cse).expect("e + f recurs");
@@ -278,7 +276,8 @@ fn shared_snapshot_checkpoint_bytes_match_unshared_writer() {
 #[test]
 fn shared_snapshot_checkpoint_recovers_at_every_truncation_boundary() {
     let (bytes, ckpt_end, snapshots) = shared_compacted_session();
-    let path = tmp("shared_compacted_truncated.journal");
+    let dir = TempDir::new("journal_recovery").unwrap();
+    let path = dir.join("shared_compacted_truncated.journal");
     for len in 0..=bytes.len() {
         std::fs::write(&path, &bytes[..len]).unwrap();
         let prog = parse(SRC).unwrap();
@@ -331,7 +330,8 @@ fn shared_snapshot_checkpoint_recovers_at_every_truncation_boundary() {
 #[test]
 fn recovered_session_continues_journaling_and_undoing() {
     let (bytes, _) = scripted_session();
-    let path = tmp("resume.journal");
+    let dir = TempDir::new("journal_recovery").unwrap();
+    let path = dir.join("resume.journal");
     std::fs::write(&path, &bytes).unwrap();
     let recovery = Session::recover(parse(SRC).unwrap(), &path).unwrap();
     let mut s = recovery.session;
@@ -361,8 +361,8 @@ fn recovered_session_continues_journaling_and_undoing() {
 /// probe `tmp_review_probe.rs`.)
 #[test]
 fn append_after_torn_tail_keeps_later_commits() {
-    let path = tmp("torn_append.journal");
-    let _ = std::fs::remove_file(&path);
+    let dir = TempDir::new("journal_recovery").unwrap();
+    let path = dir.join("torn_append.journal");
     let mut s = Session::from_source(SRC).unwrap();
     s.set_journal(Journal::open(&path).unwrap());
     s.apply_kind(XformKind::Cse).expect("e + f recurs");

@@ -11,17 +11,11 @@ use pivot_lang::parser::parse;
 use pivot_undo::engine::{Session, Strategy};
 use pivot_undo::snapshot::fingerprint;
 use pivot_undo::{Journal, XformKind};
+use pivot_workload::tempdir::TempDir;
 use pivot_workload::{prepare, WorkloadCfg};
-use std::path::PathBuf;
 use std::sync::Arc;
 
 const SRC: &str = "d = e + f\nr = e + f\nwrite r\nwrite d\nx = 3 * 4\nwrite x\n";
-
-fn tmp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("pivot_snapshot_aliasing");
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(format!("{name}.{}.journal", std::process::id()))
-}
 
 fn workload_session() -> (Session, Vec<pivot_undo::XformId>) {
     let cfg = WorkloadCfg {
@@ -96,8 +90,8 @@ fn checkpoints_held_across_rollbacks_stay_exact() {
 
 #[test]
 fn held_snapshots_survive_journal_compaction() {
-    let path = tmp("compaction");
-    let _ = std::fs::remove_file(&path);
+    let dir = TempDir::new("snapshot_aliasing").unwrap();
+    let path = dir.join("compaction.journal");
     let mut s = Session::from_source(SRC).unwrap();
     s.set_journal(Journal::open(&path).unwrap());
     let cse = s.apply_kind(XformKind::Cse).expect("e + f recurs");
@@ -117,13 +111,12 @@ fn held_snapshots_survive_journal_compaction() {
     s.rollback(cp);
     assert_eq!(fingerprint(&s), cp_fp, "checkpoint observed compaction");
     s.assert_consistent();
-    let _ = std::fs::remove_file(&path);
 }
 
 #[test]
 fn held_snapshots_survive_recovery_of_their_journal() {
-    let path = tmp("recovery");
-    let _ = std::fs::remove_file(&path);
+    let dir = TempDir::new("snapshot_aliasing").unwrap();
+    let path = dir.join("recovery.journal");
     let mut s = Session::from_source(SRC).unwrap();
     s.set_journal(Journal::open(&path).unwrap());
     s.apply_kind(XformKind::Cse).expect("e + f recurs");
@@ -145,7 +138,6 @@ fn held_snapshots_survive_recovery_of_their_journal() {
     assert_ne!(fingerprint(&recovered), held_fp);
     assert_eq!(fingerprint(&held), held_fp, "held clone observed recovery");
     held.assert_consistent();
-    let _ = std::fs::remove_file(&path);
 }
 
 #[test]
